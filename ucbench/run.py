@@ -61,7 +61,8 @@ def main():
     ap.add_argument("--threads", type=int, choices=(1, 2, 3, 4),
                     help="paper-* client threads (default 4)")
     ap.add_argument("--inject",
-                    choices=("flip-result", "size-off-by-one", "drop-record",
+                    choices=("flip-result", "probe-flip", "probe-value",
+                             "probe-band", "size-off-by-one", "drop-record",
                              "bad-invariants", "band-write"),
                     help="negative control: corrupt one checked output")
     ap.add_argument("--reference", action="store_true",

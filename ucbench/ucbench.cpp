@@ -35,6 +35,8 @@
 #include <utility>
 #include <vector>
 
+#include <malloc.h>
+
 #include "alloc/pool_alloc.hpp"
 #include "alloc/thread_cache_alloc.hpp"
 #include "core/atom.hpp"
@@ -179,12 +181,13 @@ struct Window {
   Window(std::int64_t b, std::int64_t e, int slices)
       : begin(b), end(e), ops(slices, 0), hist(slices) {}
 
-  void record(std::int64_t t0, std::int64_t t1, std::uint64_t kops) {
-    if (t1 < begin || t1 >= end) return;
+  bool record(std::int64_t t0, std::int64_t t1, std::uint64_t kops) {
+    if (t1 < begin || t1 >= end) return false;
     const auto s = static_cast<std::size_t>(
         (t1 - begin) * static_cast<std::int64_t>(ops.size()) / (end - begin));
     ops[s] += kops;
     hist[s].add(t1 - t0);
+    return true;
   }
   void merge(const Window& o) {
     for (std::size_t s = 0; s < ops.size(); ++s) {
@@ -314,10 +317,17 @@ struct Phases {
 
 constexpr int kSlices = 20;
 
+/// The kinds of client call. paper-* makes only updates; store-* makes
+/// execute_batch and multi_get calls.
+enum CallKind : std::uint8_t { kUpdateCall, kBatchCall, kProbeCall, kCallKinds };
+constexpr const char* kCallKindText[kCallKinds] = {"update", "execute_batch",
+                                                   "multi_get"};
+
 /// Everything one client thread produces.
 struct ClientResult {
   std::optional<Window> plain;   // untraced measured window
   std::optional<Window> traced;  // traced window (traced runs only)
+  std::array<Hist, kCallKinds> by_kind;  // untraced window, per call kind
   Trace trace;
   core::OpStats stats_traced;  // OpStats delta over the traced window
   std::uint64_t attempted = 0;
@@ -325,16 +335,34 @@ struct ClientResult {
   std::uint64_t inserted = 0;  // program-reported successful inserts
   std::uint64_t erased = 0;    // program-reported successful erases
 
-  void init(const Phases& p) {
-    const int slices = p.traced < p.end ? kSlices / 2 : kSlices;
-    plain.emplace(p.measure, p.traced, slices);
-    if (p.traced < p.end) traced.emplace(p.traced, p.end, slices);
+  /// Allocates the windows before set-up, so that the memory the map
+  /// adds (peak_rss_mb) does not include them; start() places them.
+  explicit ClientResult(bool traced_run) {
+    const int slices = traced_run ? kSlices / 2 : kSlices;
+    plain.emplace(0, 0, slices);
+    if (traced_run) traced.emplace(0, 0, slices);
   }
-  void record(std::int64_t t0, std::int64_t t1, std::uint64_t kops) {
-    plain->record(t0, t1, kops);
+  void start(const Phases& p) {
+    plain->begin = p.measure;
+    plain->end = p.traced;
+    if (traced) {
+      traced->begin = p.traced;
+      traced->end = p.end;
+    }
+  }
+  void record(std::int64_t t0, std::int64_t t1, std::uint64_t kops,
+              CallKind kind) {
+    if (plain->record(t0, t1, kops)) by_kind[kind].add(t1 - t0);
     if (traced) traced->record(t0, t1, kops);
   }
 };
+
+std::vector<ClientResult> make_results(std::size_t n, bool traced_run) {
+  std::vector<ClientResult> res;
+  res.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) res.emplace_back(traced_run);
+  return res;
+}
 
 /// Counters read from the shared library objects at the traced window's
 /// edges (pool, reclaimers).
@@ -394,16 +422,40 @@ struct Report {
 
 double ratio(double a, double b) { return b == 0.0 ? 0.0 : a / b; }
 
-double peak_rss_mb() {
+/// A memory field of /proc/self/status ("VmHWM", "VmRSS"), in MB.
+double status_mb(const std::string& field) {
   std::ifstream in("/proc/self/status");
   std::string line;
   while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::strtod(line.c_str() + field.size() + 1, nullptr) / 1024.0;
     }
   }
   return 0.0;
 }
+
+/// peak_rss_mb: the process's peak resident set above its resident set
+/// just before set-up. The baseline is read after the heap's free memory
+/// is handed back, so it is what the benchmark's own inputs, records and
+/// windows hold, and the figure is what the map and its threads add.
+struct RssProbe {
+  double base_mb = 0.0;
+  void at_setup() {
+    malloc_trim(0);
+    base_mb = status_mb("VmRSS");
+  }
+  /// Peak resident set above the set-up baseline, read after the window.
+  double peak_above_base_mb(Report& r) const {
+    const double hwm = status_mb("VmHWM");
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  "resident before set-up %.2f MB, process peak %.2f MB "
+                  "(peak_rss_mb is their difference)",
+                  base_mb, hwm);
+    r.notes.emplace_back(buf);
+    return hwm - base_mb;
+  }
+};
 
 /// Checks one update result against a presence record entry and applies
 /// the update to it; returns false on a mismatch.
@@ -450,6 +502,7 @@ void inject_malformed_treap(const Options& o, Report& rep) {
 struct Summary {
   Window plain;
   std::optional<Window> traced;
+  std::array<Hist, kCallKinds> by_kind;
   Trace trace;
   core::OpStats stats_traced;
   double traced_ops = 0.0;
@@ -463,6 +516,7 @@ struct Summary {
         plain.merge(*rs[t].plain);
         if (traced) traced->merge(*rs[t].traced);
       }
+      for (int k = 0; k < kCallKinds; ++k) by_kind[k].merge(rs[t].by_kind[k]);
       trace.merge(rs[t].trace);
       stats_traced += rs[t].stats_traced;
     }
@@ -491,6 +545,18 @@ void add_end_to_end(Report& r, const Summary& s, double setup_s,
                 s.plain.call_us(0.99), s.plain.total_calls(), fewest,
                 s.plain.ops.size(), s.plain.slice_seconds());
   r.notes.emplace_back(buf);
+  if (s.by_kind[kBatchCall].count > 0) {
+    // store-*: 4 of every 5 calls are multi_gets, so call_p50_us follows
+    // multi_get latency; execute_batch latency is printed apart here.
+    std::string kinds = "call p50 by kind over the window:";
+    for (int k = kBatchCall; k < kCallKinds; ++k) {
+      std::snprintf(buf, sizeof buf, " %s %.2f us (%" PRIu64 " calls)",
+                    kCallKindText[k], s.by_kind[k].percentile_ns(0.5) / 1000.0,
+                    s.by_kind[k].count);
+      kinds += buf;
+    }
+    r.notes.push_back(kinds);
+  }
   std::string slices = "slice throughput (ops/s):";
   for (auto ops : s.plain.ops) {
     std::snprintf(buf, sizeof buf, " %.0f",
@@ -746,6 +812,14 @@ Report run_paper(const Options& o, Paper kind) {
   const std::size_t threads = o.threads == 0 ? kMaxPaperThreads : o.threads;
   PaperInputs in = make_paper_inputs(kind, o.seed);
 
+  std::vector<PaperClient> clients;
+  for (std::size_t t = 0; t < threads; ++t) {
+    clients.emplace_back(kind, t, threads, in, o.seed);
+  }
+  std::vector<ClientResult> res = make_results(threads, o.trace);
+  RssProbe rss;
+  rss.at_setup();
+
   alloc::PoolBackend pool;
   std::vector<std::unique_ptr<TC>> caches;
   for (std::size_t t = 0; t <= threads; ++t) {
@@ -763,11 +837,6 @@ Report run_paper(const Options& o, Paper kind) {
   const double setup_s = static_cast<double>(now_ns() - s0) / 1e9;
   const std::size_t prefill_size = in.prefill.size();
 
-  std::vector<PaperClient> clients;
-  for (std::size_t t = 0; t < threads; ++t) {
-    clients.emplace_back(kind, t, threads, in, o.seed);
-  }
-  std::vector<ClientResult> res(threads);
   StartGate gate;
   Globals g0, g1;
   auto globals = [&] {
@@ -780,7 +849,7 @@ Report run_paper(const Options& o, Paper kind) {
     PaperClient& cl = clients[tid];
     ClientResult& r = res[tid];
     const Phases ph = Phases::make(o, gate.wait(threads));
-    r.init(ph);
+    r.start(ph);
     bool in_trace = false;
     core::OpStats at_trace;
     bool flip = o.inject == "flip-result" && tid == 0;
@@ -794,25 +863,23 @@ Report run_paper(const Options& o, Paper kind) {
         if (tid == 0) g0 = globals();
       }
       const auto [ins, k, slot] = cl.next();
-      bool landed = paper_apply(atom, ctx, ins, k, traced, r.trace);
+      const bool landed = paper_apply(atom, ctx, ins, k, traced, r.trace);
       const std::int64_t t1 = now_ns();
-      r.record(t0, t1, 1);
-      if (flip) {
-        landed = !landed;
-        flip = false;
-      }
+      r.record(t0, t1, 1, kUpdateCall);
       ++r.attempted;
       if (landed) ++(ins ? r.inserted : r.erased);
-      if (!check_update(cl.present[slot], ins, landed)) ++r.failed;
+      // flip-result corrupts only what the per-op oracle sees.
+      if (!check_update(cl.present[slot], ins, landed != flip)) ++r.failed;
+      flip = false;
     }
     if (in_trace) {
       r.stats_traced = stats_delta(ctx.stats, at_trace);
       if (tid == 0) g1 = globals();
     }
   });
-  const double rss = peak_rss_mb();
-
   Report rep;
+  const double rss_mb = rss.peak_above_base_mb(rep);
+
   std::uint64_t inserted = 0, erased = 0;
   for (const auto& r : res) {
     rep.attempted += r.attempted;
@@ -822,13 +889,16 @@ Report run_paper(const Options& o, Paper kind) {
   }
   const std::uint64_t pending_end = smr.pending_nodes();
 
-  // Final checks on one pinned version.
+  // Final checks on one pinned version. band-write writes one band key
+  // with its proper value and counts it as expected in the size and the
+  // membership, so that only the band check can catch it.
+  const bool band_write = o.inject == "band-write";
   {
     PaperUc::Ctx ctx(smr, *caches[threads]);
-    if (o.inject == "band-write") atom.insert(ctx, 0, in.band[0], 1);
+    if (band_write) atom.insert(ctx, 0, in.band[0], value_of(in.band[0]));
     inject_before_checks(o, clients[0].present);
     std::vector<Key> expect;
-    expect.reserve(prefill_size + kBatchKeysPerThread * threads);
+    expect.reserve(prefill_size + kBatchKeysPerThread * threads + 1);
     if (kind == Paper::kBatch) {
       for (const auto& kv : in.prefill) expect.push_back(kv.first);
     }
@@ -837,8 +907,10 @@ Report run_paper(const Options& o, Paper kind) {
         if (cl.present[s] != 0) expect.push_back(cl.key_of_slot(s));
       }
     }
+    if (band_write) expect.push_back(in.band[0]);
     std::sort(expect.begin(), expect.end());
-    std::uint64_t expect_size = prefill_size + inserted - erased;
+    std::uint64_t expect_size =
+        prefill_size + inserted - erased + (band_write ? 1 : 0);
     if (o.inject == "size-off-by-one") ++expect_size;
     atom.read(ctx, [&](Treap t) {
       if (!t.check_invariants()) rep.fail("treap invariants violated");
@@ -868,11 +940,11 @@ Report run_paper(const Options& o, Paper kind) {
     inject_malformed_treap(o, rep);
   }
   const std::size_t final_size =
-      prefill_size + inserted - erased + (o.inject == "band-write" ? 1 : 0);
+      prefill_size + inserted - erased + (band_write ? 1 : 0);
   smr.drain_all();
 
   Summary sum(res);
-  add_end_to_end(rep, sum, setup_s, rss);
+  add_end_to_end(rep, sum, setup_s, rss_mb);
   Layer layer;
   layer.set("persist.update_ns", sum.trace.mean_ns(kPersistUpdate));
   layer.set("persist.fresh_nodes_per_update",
@@ -935,14 +1007,45 @@ struct StoreClient {
               : static_cast<Key>(rng.below(kStoreDomain));
     }
   }
+  bool owns(Key k) const {
+    return k < kStoreDomain && static_cast<std::size_t>(k) % clients == id;
+  }
   /// Checks one probe answer; returns false on a mismatch.
   bool check_probe(Key k, const Outcome& out) const {
     if (k >= kStoreDomain) return !out.present();
     if (out.present() && *out.value != value_of(k)) return false;
-    if (static_cast<std::size_t>(k) % clients == id) {
+    if (owns(k)) {
       return out.present() == (present[static_cast<std::size_t>(k) / clients] != 0);
     }
     return true;
+  }
+
+  /// Negative controls on one multi_get answer, each aimed at one branch
+  /// of check_probe: probe-flip flips the presence of an own-partition
+  /// key, probe-value changes a value read, probe-band reports a band key
+  /// as present with its proper value. Returns true once it corrupted one.
+  bool corrupt_probe(const std::string& mode) {
+    for (unsigned i = 0; i < kStoreProbeKeys; ++i) {
+      const Key k = probe[i];
+      Outcome& out = outs[i];
+      if (mode == "probe-flip" && owns(k)) {
+        if (out.present()) {
+          out.value.reset();
+        } else {
+          out.value = value_of(k);
+        }
+        return true;
+      }
+      if (mode == "probe-value" && out.present()) {
+        *out.value ^= 1;
+        return true;
+      }
+      if (mode == "probe-band" && k >= kStoreDomain) {
+        out.value = value_of(k);
+        return true;
+      }
+    }
+    return false;
   }
 };
 
@@ -963,6 +1066,9 @@ Report run_store(const Options& o, StoreShape shape) {
   for (std::size_t c = 0; c < shape.clients; ++c) {
     clients.emplace_back(c, shape.clients, o.seed);
   }
+  std::vector<ClientResult> res = make_results(shape.clients, o.trace);
+  RssProbe rss;
+  rss.at_setup();
 
   alloc::PoolBackend pool;
   // One cache per client, per shard worker, and for the final checks.
@@ -989,10 +1095,7 @@ Report run_store(const Options& o, StoreShape shape) {
   session0.emplace(map, *caches[0]);
   session0->seed_sorted(prefill.begin(), prefill.end());
   const double setup_s = static_cast<double>(now_ns() - s0) / 1e9;
-  prefill.clear();
-  prefill.shrink_to_fit();
 
-  std::vector<ClientResult> res(shape.clients);
   StartGate gate;
   Globals g0, g1;
   auto globals = [&] {
@@ -1011,10 +1114,11 @@ Report run_store(const Options& o, StoreShape shape) {
     StoreClient& cl = clients[id];
     ClientResult& r = res[id];
     const Phases ph = Phases::make(o, gate.wait(shape.clients));
-    r.init(ph);
+    r.start(ph);
     bool in_trace = false;
     core::OpStats at_trace;
     bool flip = o.inject == "flip-result" && id == 0;
+    bool corrupt = o.inject.rfind("probe-", 0) == 0 && id == 0;
     for (;;) {
       std::int64_t t0 = now_ns();
       if (t0 >= ph.end) break;
@@ -1029,13 +1133,9 @@ Report run_store(const Options& o, StoreShape shape) {
       t0 = now_ns();
       sess.execute_batch(cl.reqs, std::span<bool>(cl.results.get(), kStoreBatch));
       std::int64_t t1 = now_ns();
-      r.record(t0, t1, kStoreBatch);
+      r.record(t0, t1, kStoreBatch, kBatchCall);
       if (traced) {
         r.trace.add(r.trace.next_id++, 0, kStoreExecuteBatch, t0, t1, 0);
-      }
-      if (flip) {
-        cl.results[0] = !cl.results[0];
-        flip = false;
       }
       for (unsigned i = 0; i < kStoreBatch; ++i) {
         const Req& q = cl.reqs[i];
@@ -1044,7 +1144,9 @@ Report run_store(const Options& o, StoreShape shape) {
         ++r.attempted;
         if (landed) ++(ins ? r.inserted : r.erased);
         const std::size_t slot = static_cast<std::size_t>(q.key) / cl.clients;
-        if (!check_update(cl.present[slot], ins, landed)) ++r.failed;
+        // flip-result corrupts only what the per-op oracle sees.
+        if (!check_update(cl.present[slot], ins, landed != flip)) ++r.failed;
+        flip = false;
       }
       // multi_gets
       for (unsigned p = 0; p < kStoreProbes; ++p) {
@@ -1052,10 +1154,11 @@ Report run_store(const Options& o, StoreShape shape) {
         t0 = now_ns();
         sess.multi_get(cl.probe, cl.outs);
         t1 = now_ns();
-        r.record(t0, t1, kStoreProbeKeys);
+        r.record(t0, t1, kStoreProbeKeys, kProbeCall);
         if (traced) {
           r.trace.add(r.trace.next_id++, 0, kStoreMultiGet, t0, t1, 0);
         }
+        if (corrupt) corrupt = !cl.corrupt_probe(o.inject);
         for (unsigned i = 0; i < kStoreProbeKeys; ++i) {
           ++r.attempted;
           if (!cl.check_probe(cl.probe[i], cl.outs[i])) ++r.failed;
@@ -1067,8 +1170,11 @@ Report run_store(const Options& o, StoreShape shape) {
       if (id == 0) g1 = globals();
     }
   });
-  const double rss = peak_rss_mb();
+  Report rep;
+  const double rss_mb = rss.peak_above_base_mb(rep);
   session0.reset();
+  prefill.clear();
+  prefill.shrink_to_fit();
 
   // Executor workers' counters cover the whole run (readable after stop).
   core::OpStats worker;
@@ -1077,7 +1183,6 @@ Report run_store(const Options& o, StoreShape shape) {
     for (std::size_t s = 0; s < shape.shards; ++s) worker += exec->shard_stats(s);
   }
 
-  Report rep;
   std::uint64_t inserted = 0, erased = 0;
   for (const auto& r : res) {
     rep.attempted += r.attempted;
@@ -1090,13 +1195,18 @@ Report run_store(const Options& o, StoreShape shape) {
     pending_end += map.shard(s).reclaimer().pending_nodes();
   }
 
-  // Final checks, through a fresh session on this thread.
+  // Final checks, through a fresh session on this thread. band-write
+  // writes the first band key with its proper value and counts it as
+  // expected in the size and the membership, so that only the band check
+  // can catch it.
+  const bool band_write = o.inject == "band-write";
   std::size_t final_size = 0;
   {
     StoreMap::Session sess(map, check_cache);
-    if (o.inject == "band-write") sess.insert(kStoreDomain, 1);
+    if (band_write) sess.insert(kStoreDomain, value_of(kStoreDomain));
     inject_before_checks(o, clients[0].present);
-    std::uint64_t expect_size = prefill_size + inserted - erased;
+    std::uint64_t expect_size =
+        prefill_size + inserted - erased + (band_write ? 1 : 0);
     if (o.inject == "size-off-by-one") ++expect_size;
     final_size = sess.size();
     if (final_size != expect_size) {
@@ -1119,6 +1229,7 @@ Report run_store(const Options& o, StoreShape shape) {
       return clients[c].present[static_cast<std::size_t>(k) / shape.clients] != 0;
     };
     sess.for_each_ordered([&](const Key& k, const Val& v) {
+      if (band_write && k == kStoreDomain && v == value_of(k)) return;
       if (v != value_of(k) || k >= kStoreDomain || k < next) {
         members_ok = false;
         return;
@@ -1145,7 +1256,7 @@ Report run_store(const Options& o, StoreShape shape) {
   for (std::size_t s = 0; s < shape.shards; ++s) map.shard(s).reclaimer().drain_all();
 
   Summary sum(res);
-  add_end_to_end(rep, sum, setup_s, rss);
+  add_end_to_end(rep, sum, setup_s, rss_mb);
   Layer layer;
   core::OpStats st = sum.stats_traced;
   st += worker;
@@ -1297,13 +1408,17 @@ int main(int argc, char** argv) {
   if (!(o.seconds > 0.0) || o.seconds > 600.0) usage("--seconds out of range");
   if (o.warmup < 0.0 || o.warmup > 60.0) usage("--warmup out of range");
   if (o.threads > kMaxPaperThreads) usage("--threads must be 1..4");
-  static const char* const kInjects[] = {"",          "flip-result",
-                                         "size-off-by-one", "drop-record",
-                                         "bad-invariants",  "band-write"};
+  static const char* const kInjects[] = {
+      "",           "flip-result",  "size-off-by-one", "drop-record",
+      "bad-invariants", "band-write", "probe-flip",     "probe-value",
+      "probe-band"};
   if (std::find_if(std::begin(kInjects), std::end(kInjects), [&](const char* s) {
         return o.inject == s;
       }) == std::end(kInjects)) {
     usage("unknown --inject mode");
+  }
+  if (o.inject.rfind("probe-", 0) == 0 && o.workload.rfind("store-", 0) != 0) {
+    usage("probe-* controls apply to store-* only");
   }
   if (o.reference) {
     o.trace = false;
